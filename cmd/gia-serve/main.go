@@ -46,6 +46,16 @@ import (
 	"github.com/ghost-installer/gia/internal/serve"
 )
 
+// Connection deadlines for serve mode. A client gets readHeaderTimeout to
+// send its request line and headers (a stalled or trickling client cannot
+// hold a connection open indefinitely) and an idle keep-alive connection
+// is closed after idleTimeout. There is deliberately no write timeout: the
+// ?follow=1 trace and /events streams are long-lived responses.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8436", "listen address (host:port; port 0 picks a free port)")
@@ -139,7 +149,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gia-serve: listen: %v\n", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: serve.NewHandler(fleet, reg)}
+	srv := &http.Server{
+		Handler:           serve.NewHandler(fleet, reg),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	// The listening line is the daemon's readiness signal; verify.sh and
 	// scripts scrape the URL from it (port 0 resolves here).
 	fmt.Printf("gia-serve: listening on http://%s\n", ln.Addr())

@@ -1,6 +1,10 @@
 package analysis
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/ghost-installer/gia/internal/race"
+)
 
 // Alloc-budget tests pin the front-end's per-instruction allocation cost
 // so regressions (a dropped intern, a lost scratch pool, an accidental
@@ -23,7 +27,7 @@ func allocsPerInstruction(t *testing.T, runs int, src []byte, f func()) float64 
 }
 
 func TestParseAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	src := []byte(goodSmali)
@@ -39,7 +43,7 @@ func TestParseAllocBudget(t *testing.T) {
 }
 
 func TestAnalyzeAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	eng := NewEngine()

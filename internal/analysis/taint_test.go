@@ -3,6 +3,8 @@ package analysis
 import (
 	"reflect"
 	"testing"
+
+	"github.com/ghost-installer/gia/internal/race"
 )
 
 // crossMethodStaging is the acceptance fixture for the interprocedural
@@ -202,7 +204,7 @@ func FuzzSummaries(f *testing.F) {
 }
 
 func TestSummaryAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	cls, err := ParseFile("budget.smali", crossMethodStaging)

@@ -6,6 +6,7 @@ import (
 	"github.com/ghost-installer/gia/internal/arena"
 	"github.com/ghost-installer/gia/internal/attack"
 	"github.com/ghost-installer/gia/internal/installer"
+	"github.com/ghost-installer/gia/internal/race"
 )
 
 // TestAITAllocBudget pins the allocation cost of one complete AIT hijack
@@ -15,7 +16,7 @@ import (
 // tight enough to catch a regression that reintroduces per-schedule
 // device rebuilding or payload copying.
 func TestAITAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	a := arena.New(ScenarioDeviceProfile(0))

@@ -3,6 +3,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"github.com/ghost-installer/gia/internal/race"
 )
 
 // disabledHooks exercises every hook a hot path may contain, against nil
@@ -40,7 +42,7 @@ func disabledHooks() {
 // observability disabled, every hook site costs zero allocations, so the
 // PR-4 per-instruction budgets are unaffected by compiled-in hooks.
 func TestDisabledHooksZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	if allocs := testing.AllocsPerRun(1000, disabledHooks); allocs != 0 {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/ghost-installer/gia/internal/race"
 )
 
 func ringTrack(t *testing.T, depth int) *Track {
@@ -191,7 +193,7 @@ func TestRingExportsUseWindow(t *testing.T) {
 // allocations per append — so the recorder can stay always-on inside the
 // serve transaction path and the chaos hot loops. verify.sh gates on it.
 func TestRingAppendZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	tr := NewTrace()

@@ -91,12 +91,12 @@ func TestMapCancellationSkipsUnstartedJobs(t *testing.T) {
 	// With one worker the jobs run in index order, so a failure at index 2
 	// must prevent every later job from starting.
 	var ran []int
-	err := Run(1, 100, func(i int) error {
+	_, err := Map(1, 100, func(i int) (int, error) {
 		ran = append(ran, i)
 		if i == 2 {
-			return errors.New("stop")
+			return 0, errors.New("stop")
 		}
-		return nil
+		return i, nil
 	})
 	if err == nil {
 		t.Fatal("no error")
@@ -124,7 +124,7 @@ func TestMapPanicContainment(t *testing.T) {
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
-	err := Run(workers, 64, func(int) error {
+	_, err := Map(workers, 64, func(i int) (int, error) {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -133,7 +133,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 			}
 		}
 		defer cur.Add(-1)
-		return nil
+		return i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,45 +145,69 @@ func TestMapBoundsConcurrency(t *testing.T) {
 
 func TestFrontierDrainsDynamicWork(t *testing.T) {
 	// Walk a ternary tree of depth 3 via the frontier: every node must be
-	// visited exactly once, regardless of worker count.
-	for _, workers := range []int{1, 4} {
-		var mu sync.Mutex
-		seen := map[string]bool{}
-		Frontier(workers, []string{""}, func(path string) []string {
-			mu.Lock()
-			if seen[path] {
-				t.Errorf("node %q visited twice", path)
+	// visited exactly once, regardless of worker count. An empty seed must
+	// return at once without calling process.
+	for _, tc := range []struct {
+		seed []string
+		want int
+	}{
+		{seed: []string{""}, want: 1 + 3 + 9 + 27},
+		{seed: nil, want: 0},
+	} {
+		for _, workers := range []int{1, 4} {
+			var mu sync.Mutex
+			seen := map[string]bool{}
+			FrontierWorker(workers, tc.seed, func(_ int, path string) []string {
+				mu.Lock()
+				if seen[path] {
+					t.Errorf("node %q visited twice", path)
+				}
+				seen[path] = true
+				mu.Unlock()
+				if len(path) >= 3 {
+					return nil
+				}
+				return []string{path + "a", path + "b", path + "c"}
+			})
+			if len(seen) != tc.want {
+				t.Fatalf("seed=%q workers=%d: visited %d nodes, want %d", tc.seed, workers, len(seen), tc.want)
 			}
-			seen[path] = true
-			mu.Unlock()
-			if len(path) >= 3 {
-				return nil
-			}
-			return []string{path + "a", path + "b", path + "c"}
-		})
-		want := 1 + 3 + 9 + 27
-		if len(seen) != want {
-			t.Fatalf("workers=%d: visited %d nodes, want %d", workers, len(seen), want)
 		}
 	}
 }
 
 func TestFrontierPanicSurfacesOnCaller(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("panic did not propagate")
+	// The second case panics in the only item while its three siblings are
+	// parked waiting for follow-ups: the panic must wake them, or the call
+	// never returns.
+	for _, tc := range []struct {
+		workers int
+		seed    []int
+		delay   time.Duration
+	}{
+		{workers: 2, seed: []int{1, 2, 3, 4}},
+		{workers: 4, seed: []int{3}, delay: 20 * time.Millisecond},
+	} {
+		got := make(chan any, 1)
+		go func() {
+			defer func() { got <- recover() }()
+			FrontierWorker(tc.workers, tc.seed, func(_, i int) []int {
+				if i == 3 {
+					time.Sleep(tc.delay)
+					panic("frontier boom")
+				}
+				return nil
+			})
+		}()
+		select {
+		case p := <-got:
+			if s, ok := p.(string); !ok || s != "frontier boom" {
+				t.Fatalf("workers=%d seed=%v: recovered %v, want the item's panic", tc.workers, tc.seed, p)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d seed=%v: frontier hung after a panic", tc.workers, tc.seed)
 		}
-		if s, ok := p.(string); !ok || s != "frontier boom" {
-			t.Fatalf("recovered %v", p)
-		}
-	}()
-	Frontier(2, []int{1, 2, 3, 4}, func(i int) []int {
-		if i == 3 {
-			panic("frontier boom")
-		}
-		return nil
-	})
+	}
 }
 
 func TestFrontierDeterministicAggregation(t *testing.T) {
@@ -193,7 +217,7 @@ func TestFrontierDeterministicAggregation(t *testing.T) {
 	collect := func(workers int) []int {
 		var mu sync.Mutex
 		var out []int
-		Frontier(workers, []int{10, 20, 30}, func(i int) []int {
+		FrontierWorker(workers, []int{10, 20, 30}, func(_, i int) []int {
 			mu.Lock()
 			out = append(out, i)
 			mu.Unlock()
@@ -279,7 +303,7 @@ func TestFrontierInstrumentation(t *testing.T) {
 	defer SetInstrumentation(nil)
 
 	// 1 seed item spawning a two-level tree: 1 + 3 + 9 items.
-	Frontier(4, []int{0}, func(depth int) []int {
+	FrontierWorker(4, []int{0}, func(_, depth int) []int {
 		if depth >= 2 {
 			return nil
 		}
@@ -294,46 +318,52 @@ func TestFrontierInstrumentation(t *testing.T) {
 	}
 }
 
-// TestFrontierStealsCounted forces cross-worker stealing: one seed item
-// fans out into far more follow-ups than the seeding worker can process
-// before its siblings go hunting, so the steals counter must move while
-// every item is still processed exactly once.
+// TestFrontierStealsCounted pins the steals counter: an item run on a
+// worker other than the one that produced it. One seed item fans out into
+// 64 follow-ups; at one worker nothing can migrate, and at four workers at
+// most every processed item migrated. Every item is processed exactly once
+// at either count.
 func TestFrontierStealsCounted(t *testing.T) {
-	reg := obs.NewRegistry()
-	SetInstrumentation(&Instrumentation{
-		Tasks:  reg.Counter("par.tasks"),
-		Steals: reg.Counter("par.frontier.steals"),
-		Queued: reg.Gauge("par.queued"),
-		Busy:   reg.Gauge("par.busy"),
-	})
-	defer SetInstrumentation(nil)
-
-	var processed atomic.Int64
-	Frontier(4, []int{0}, func(depth int) []int {
-		processed.Add(1)
-		// Busy-wait a little so siblings find the deque non-empty.
-		for i := 0; i < 2000; i++ {
-			_ = i * i
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		SetInstrumentation(&Instrumentation{
+			Tasks:  reg.Counter("par.tasks"),
+			Steals: reg.Counter("par.frontier.steals"),
+			Queued: reg.Gauge("par.queued"),
+			Busy:   reg.Gauge("par.busy"),
+		})
+		var seen [65]atomic.Int64
+		FrontierWorker(workers, []int{0}, func(_, id int) []int {
+			seen[id].Add(1)
+			// Busy-wait a little so siblings find the stack non-empty.
+			for i := 0; i < 2000; i++ {
+				_ = i * i
+			}
+			if id != 0 {
+				return nil
+			}
+			kids := make([]int, 64)
+			for i := range kids {
+				kids[i] = i + 1
+			}
+			return kids
+		})
+		SetInstrumentation(nil)
+		for id := range seen {
+			if n := seen[id].Load(); n != 1 {
+				t.Errorf("workers=%d: item %d processed %d times, want 1", workers, id, n)
+			}
 		}
-		if depth >= 1 {
-			return nil
+		snap := reg.Snapshot()
+		tasks, steals := snap.Counter("par.tasks"), snap.Counter("par.frontier.steals")
+		if tasks != 65 {
+			t.Errorf("workers=%d: par.tasks = %d, want 65", workers, tasks)
 		}
-		kids := make([]int, 64)
-		for i := range kids {
-			kids[i] = depth + 1
+		if workers == 1 && steals != 0 {
+			t.Errorf("workers=1: par.frontier.steals = %d, want 0", steals)
 		}
-		return kids
-	})
-	snap := reg.Snapshot()
-	if got := processed.Load(); got != 65 {
-		t.Fatalf("processed %d items, want 65", got)
-	}
-	if got := snap.Counter("par.tasks"); got != 65 {
-		t.Errorf("par.tasks = %d, want 65", got)
-	}
-	if runtime.NumCPU() > 1 {
-		if got := snap.Counter("par.frontier.steals"); got == 0 {
-			t.Logf("par.frontier.steals = 0 (no steal observed; timing-dependent on this host)")
+		if steals > tasks {
+			t.Errorf("workers=%d: par.frontier.steals = %d exceeds par.tasks = %d", workers, steals, tasks)
 		}
 	}
 }
@@ -356,7 +386,7 @@ func TestFrontierPanickedItemNotATask(t *testing.T) {
 				t.Fatal("panic did not propagate")
 			}
 		}()
-		Frontier(1, []int{0}, func(i int) []int {
+		FrontierWorker(1, []int{0}, func(_, i int) []int {
 			if i == 2 {
 				panic("boom")
 			}
@@ -374,8 +404,8 @@ func TestFrontierPanickedItemNotATask(t *testing.T) {
 }
 
 // TestFrontierWorkerOwnership pins the MapWorker-style contract on the
-// stealing frontier: each worker index is owned by exactly one goroutine
-// at a time, even while items migrate between deques.
+// frontier: each worker index is owned by exactly one goroutine at a time,
+// even while items migrate between workers.
 func TestFrontierWorkerOwnership(t *testing.T) {
 	const workers = 4
 	var active [workers]atomic.Int64

@@ -91,17 +91,32 @@ func (h *handler) count(next http.Handler) http.Handler {
 	})
 }
 
+// maxBodyBytes caps a request body. Every request type is a handful of
+// scalar fields or one replay token, so a megabyte is far above any
+// legitimate body while keeping one client from making the daemon buffer
+// an unbounded stream.
+const maxBodyBytes = 1 << 20
+
 // readJSON decodes an optional JSON body into v; an empty body (io.EOF on
 // the first token) is the zero request, so clients may POST without a body
-// for all-default operations.
-func readJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// for all-default operations. A body over maxBodyBytes is rejected with
+// 413 before the request reaches the service.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return fmt.Errorf("%w: body exceeds %d bytes", errTooLarge, tooLarge.Limit)
+	case err != nil && !errors.Is(err, io.EOF):
 		return badRequestf("decode body: %v", err)
 	}
 	return nil
 }
+
+// errTooLarge marks a request body over maxBodyBytes (HTTP 413).
+var errTooLarge = errors.New("serve: request body too large")
 
 func (h *handler) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -119,6 +134,8 @@ func (h *handler) writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, ErrBadRequest):
 		status = http.StatusBadRequest
+	case errors.Is(err, errTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrClosed):
 		status = http.StatusServiceUnavailable
 	}
@@ -127,7 +144,7 @@ func (h *handler) writeErr(w http.ResponseWriter, err error) {
 
 func (h *handler) createDevice(w http.ResponseWriter, r *http.Request) {
 	var req CreateDeviceRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		h.writeErr(w, err)
 		return
 	}
@@ -166,7 +183,7 @@ func (h *handler) deleteDevice(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) install(w http.ResponseWriter, r *http.Request) {
 	var req InstallRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		h.writeErr(w, err)
 		return
 	}
@@ -180,7 +197,7 @@ func (h *handler) install(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) attack(w http.ResponseWriter, r *http.Request) {
 	var req AttackRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		h.writeErr(w, err)
 		return
 	}
@@ -206,7 +223,7 @@ func (h *handler) timeline(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) replay(w http.ResponseWriter, r *http.Request) {
 	var req ReplayRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		h.writeErr(w, err)
 		return
 	}

@@ -361,3 +361,39 @@ func ExampleStoreNames() {
 	fmt.Println(strings.Join(StoreNames()[:3], ","))
 	// Output: amazon,amazon-v2,apkpure
 }
+
+// TestOversizedBodyRejected pins the request-body bound: a body over
+// maxBodyBytes is answered 413 before the request reaches the service, so
+// the target device's status is unchanged.
+func TestOversizedBodyRejected(t *testing.T) {
+	f := newTestFleet(t, Config{Shards: 1, Seed: 3})
+	srv := httptest.NewServer(NewHandler(f, nil))
+	defer srv.Close()
+
+	info, err := f.CreateDevice(CreateDeviceRequest{Store: "amazon"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := f.Device(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A well-formed install request padded with JSON whitespace past the
+	// limit: only its size is wrong.
+	body := `{"payload_bytes":` + strings.Repeat(" ", maxBodyBytes) + `64}`
+	resp, err := http.Post(srv.URL+"/devices/"+info.ID+"/install", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized install: status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	after, err := f.Device(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Fatalf("device changed by a rejected request:\n before %+v\n after  %+v", before, after)
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/ghost-installer/gia/internal/race"
 )
 
 // driveBoth executes one operation script against a wheel-backed scheduler
@@ -197,7 +199,7 @@ func TestTimerCancelAfterFireIsNoop(t *testing.T) {
 // path: in steady state, scheduling (AfterFn) plus dispatching an event
 // through the pooled wheel must not allocate at all.
 func TestSchedulerAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	s := New(1)

@@ -32,6 +32,12 @@ echo "== go test -race -count=2 ./... =="
 # the chaos sweeps must be bit-identical run over run).
 go test -race -count=2 ./...
 
+echo "== perfbench module (vet + tests) =="
+# perfbench is a separate Go module built against this checkout's internal
+# packages, so the root ./... gates never compile it: an internal API
+# change could break the benchmark without failing anything above.
+(cd perfbench && go vet ./... && go test -count=1 ./...)
+
 echo "== bench smoke (worker-pool engine under race, 1 iteration) =="
 # One race-enabled iteration of the parallel experiment engine: AllTables
 # and the fleet study fan out on the shared pool, so this catches data
@@ -82,13 +88,14 @@ go test -count=1 -run '^TestTraceParityAcrossWorkers$' ./internal/chaos
 # byte-identical at 1 worker and at NumCPU workers.
 go test -count=1 -run '^TestFlightDumpParityAcrossWorkers$' ./internal/experiment
 
-echo "== POR soundness + stealing determinism (race-enabled) =="
+echo "== POR soundness + parallel-frontier determinism (race-enabled) =="
 # Partial-order reduction may only prune orderings an explored ordering
 # already decides: reduced vs exhaustive exploration must agree on the
 # violation set and minimized tokens, on synthetic commuting worlds and on
-# the golden wait-and-see AIT workload. The work-stealing frontier must
-# report an identical Result at 1 worker and NumCPU workers and hold the
-# MaxSchedules cap exactly while stealing.
+# the golden wait-and-see AIT workload. The shared frontier must report an
+# identical Result at 1 worker and NumCPU workers, whichever worker runs
+# which schedule, and hold the MaxSchedules cap exactly while workers race
+# to claim queued schedules.
 go test -race -count=1 \
     -run '^(TestExploreOrdersPORSoundness|TestFrontierStealDeterministicResult|TestMaxSchedulesTruncatesUnderStealing)$' \
     ./internal/chaos
